@@ -270,9 +270,12 @@ impl Briefer {
     ///
     /// Each stage of the pipeline runs under a `wb-obs` span —
     /// `brief.page` wrapping `brief.parse` → `brief.normalize` →
-    /// `brief.wordpiece` → (`brief.generate` | `brief.extract`, each
-    /// containing `brief.encode`) — so `wb report` can show where page
-    /// latency goes. Spans time; they never alter the brief.
+    /// `brief.wordpiece` → per sub-document the model stages of
+    /// [`JointModel::infer`] (`brief.encode` with `brief.embed`,
+    /// `brief.e_bilstm`, `brief.g_bilstm`, `brief.sections`; then
+    /// `brief.greedy`, `brief.extract_head`, `brief.beam`,
+    /// `brief.release`) and `brief.assemble` — so `wb report` can show where page latency goes.
+    /// Spans time; they never alter the brief.
     pub fn brief_html(&self, html: &str) -> Result<Brief, BriefError> {
         let _page = wb_obs::span!("brief.page");
         let dom = {
@@ -325,45 +328,39 @@ impl Briefer {
     /// of [`encode_chunked`]): the broad topic is generated from the first
     /// sub-document — the page head, where the paper's corpus carries the
     /// topical signal — while extraction runs over every sub-document and
-    /// the attributes are unioned in document order. For a single chunk
-    /// this is exactly the unchunked pipeline.
+    /// the attributes are unioned in document order. Each sub-document
+    /// takes one [`JointModel::infer`] pass; only the first runs the beam.
+    /// For a single chunk this is exactly the unchunked pipeline.
     pub fn brief_chunks(&self, chunks: &[Example]) -> Brief {
-        let Some(first) = chunks.first() else {
-            return Brief {
-                topic: String::new(),
-                category: None,
-                attributes: Vec::new(),
-                informative_sentences: Vec::new(),
-            };
+        let mut brief = Brief {
+            topic: String::new(),
+            category: None,
+            attributes: Vec::new(),
+            informative_sentences: Vec::new(),
         };
-        let topic = {
-            let _s = wb_obs::span!("brief.generate");
-            let topic_ids = self.model.generate(first);
-            self.tokenizer.decode_ids(&topic_ids).join(" ")
-        };
-        let _extract = wb_obs::span!("brief.extract");
-        let mut category = None;
-        let mut attributes: Vec<BriefAttribute> = Vec::new();
-        let mut informative_sentences: Vec<usize> = Vec::new();
         let mut sentence_base = 0usize;
-        for ex in chunks {
-            let tags = self.model.predict_tags(ex);
-            for (s, e) in bio_to_spans(&tags) {
+        for (i, ex) in chunks.iter().enumerate() {
+            let inference = self.model.infer(ex, i == 0);
+            let _s = wb_obs::span!("brief.assemble");
+            if let Some(topic_ids) = inference.topic {
+                brief.topic = self.tokenizer.decode_ids(&topic_ids).join(" ");
+            }
+            for (s, e) in bio_to_spans(&inference.tags) {
                 let value = self.tokenizer.decode_ids(&ex.tokens[s..e]).join(" ");
                 let name = infer_attribute_name(&self.tokenizer, ex, s);
                 // The category attribute is promoted to its own hierarchy
                 // level (the paper's "high-level key attribute"); the first
                 // one in document order wins.
-                if name == "category" && category.is_none() {
-                    category = Some(value);
+                if name == "category" && brief.category.is_none() {
+                    brief.category = Some(value);
                 } else {
-                    attributes.push(BriefAttribute { name, value });
+                    brief.attributes.push(BriefAttribute { name, value });
                 }
             }
             // Sentence flags are chunk-local; shift them to document-global
             // sentence numbers.
-            if let Some(flags) = self.model.predict_sections(ex) {
-                informative_sentences.extend(
+            if let Some(flags) = inference.sections {
+                brief.informative_sentences.extend(
                     flags
                         .iter()
                         .enumerate()
@@ -373,7 +370,7 @@ impl Briefer {
             }
             sentence_base += ex.num_sentences();
         }
-        Brief { topic, category, attributes, informative_sentences }
+        brief
     }
 }
 

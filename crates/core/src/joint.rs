@@ -113,6 +113,18 @@ pub struct JointModel {
     cfg: ModelConfig,
 }
 
+/// What one [`JointModel::infer`] pass over a sub-document yields.
+#[derive(Debug, Clone, PartialEq)]
+pub struct Inference {
+    /// Predicted BIO tags, one per token.
+    pub tags: Vec<u8>,
+    /// The beam-searched topic phrase (without `[EOS]`), when requested.
+    pub topic: Option<Vec<u32>>,
+    /// Informative-section flags, one per sentence, for variants with a
+    /// section predictor.
+    pub sections: Option<Vec<bool>>,
+}
+
 /// Everything a joint forward pass produces.
 pub struct JointForward {
     /// BIO logits `[T, 3]`.
@@ -302,7 +314,7 @@ impl JointModel {
 
     /// The full forward pass. `targets` drives teacher forcing; pass the
     /// gold `topic_target` during training. At inference use
-    /// [`JointModel::generate`] / [`JointModel::predict_tags`] instead.
+    /// [`JointModel::infer`] instead.
     pub fn forward(&self, g: &mut Graph, ex: &Example, targets: &[u32]) -> JointForward {
         let cfg = &self.cfg;
         let shared = self.embedder.forward(g, &ex.tokens, &ex.sentence_of);
@@ -324,8 +336,44 @@ impl JointModel {
         } else {
             (None, None)
         };
+        let (c_e_b, c_g_b) = self.section_dependent(g, ex, c_e, c_g, p_probs);
 
-        // Section-dependent representations.
+        // First decode pass over the (section-aware) generator memory.
+        let (g_logits_first, q) = self.decoder.teacher_forced_with_states(g, targets, c_g_b);
+
+        let e_feats = self.extractor_features(g, ex, c_e, c_e_b, q, p_probs);
+        let e_feats = g.dropout(e_feats, cfg.dropout);
+        let e_logits = self.e_head.forward(g, e_feats);
+
+        // Generator output (second, dual-aware decode when applicable).
+        let g_logits = if self.variant.attr_aware_generator() {
+            let mem2 = self.generator_memory(g, c_e, c_g, c_g_b, p_probs);
+            self.decoder.teacher_forced(g, targets, mem2)
+        } else {
+            g_logits_first
+        };
+
+        JointForward {
+            e_logits,
+            g_logits,
+            section_logits,
+            shared,
+            hidden_e: c_e,
+            hidden_g: c_g,
+        }
+    }
+
+    /// Section-dependent representations `(C_E^b, C_G^b)` (eqs. 17, 19):
+    /// each Bi-LSTM output concatenated with its section probability and
+    /// projected back; the plain outputs when the variant has no `P`.
+    fn section_dependent(
+        &self,
+        g: &mut Graph,
+        ex: &Example,
+        c_e: Var,
+        c_g: Var,
+        p_probs: Option<Var>,
+    ) -> (Var, Var) {
         let c_e_b = match (&self.sec_e, p_probs) {
             (Some(sec_e), Some(p)) => {
                 let col = self.token_section_column(g, p, ex);
@@ -341,12 +389,21 @@ impl JointModel {
             }
             _ => c_g,
         };
+        (c_e_b, c_g_b)
+    }
 
-        // First decode pass over the (section-aware) generator memory.
-        let (g_logits_first, q) = self.decoder.teacher_forced_with_states(g, targets, c_g_b);
-
-        // Extractor features.
-        let e_feats = match self.variant {
+    /// The extractor head's input: the token representations enriched with
+    /// the topic states `q` of the first decode, as each variant defines it.
+    fn extractor_features(
+        &self,
+        g: &mut Graph,
+        ex: &Example,
+        c_e: Var,
+        c_e_b: Var,
+        q: Var,
+        p_probs: Option<Var>,
+    ) -> Var {
+        match self.variant {
             JointVariant::NaiveJoin => c_e,
             JointVariant::ConExtractor => {
                 let n = g.value(q).rows();
@@ -384,51 +441,20 @@ impl JointModel {
                 let gated = g.mul_col_broadcast(c_e_b, alpha);
                 g.concat_cols(&[c_e, gated])
             }
-        };
-        let e_feats = g.dropout(e_feats, cfg.dropout);
-        let e_logits = self.e_head.forward(g, e_feats);
-
-        // Generator output (second, dual-aware decode when applicable).
-        let g_logits = if self.variant.attr_aware_generator() {
-            let base = if self.variant == JointVariant::PipBoth { c_g } else { c_g_b };
-            let mem2 = self.attr_aware_memory(g, c_e, c_g, base, p_probs);
-            self.decoder.teacher_forced(g, targets, mem2)
-        } else {
-            g_logits_first
-        };
-
-        JointForward {
-            e_logits,
-            g_logits,
-            section_logits,
-            shared,
-            hidden_e: c_e,
-            hidden_g: c_g,
         }
     }
 
-    /// Inference memory for generation: replays the forward pass with a
-    /// greedy first decode instead of teacher forcing, returning the final
-    /// decoder memory.
-    fn inference_memory(&self, g: &mut Graph, ex: &Example) -> Var {
-        let shared = {
-            let _s = wb_obs::span!("brief.encode");
-            self.embedder.forward(g, &ex.tokens, &ex.sentence_of)
-        };
-        let sents = sentence_reps(g, &self.embedder, shared, ex);
-        let c_e = self.e_bilstm.forward(g, shared);
-        let c_g = self.g_bilstm.forward(g, sents);
-        let p_probs = self.variant.uses_section_predictor().then(|| {
-            let z = self.section_scores(g, sents);
-            g.sigmoid(z)
-        });
-        let c_g_b = match (&self.sec_g, p_probs) {
-            (Some(sec_g), Some(p)) => {
-                let cat = g.concat_cols(&[c_g, p]);
-                sec_g.forward_tanh(g, cat)
-            }
-            _ => c_g,
-        };
+    /// The memory the final decode attends over: `C_G^b`, or for the
+    /// attribute-aware variants the key-attributes-aware memory built on
+    /// it (on the plain `C_G` for the pipeline variant).
+    fn generator_memory(
+        &self,
+        g: &mut Graph,
+        c_e: Var,
+        c_g: Var,
+        c_g_b: Var,
+        p_probs: Option<Var>,
+    ) -> Var {
         if !self.variant.attr_aware_generator() {
             return c_g_b;
         }
@@ -470,97 +496,80 @@ impl JointModel {
         }
     }
 
-    /// Predicted BIO tags. Uses a greedy first decode to build the topic
-    /// signal the extractor attends to.
-    pub fn predict_tags(&self, ex: &Example) -> Vec<u8> {
-        let mut g = Graph::new(&self.params, false, 0);
-        // Greedy first pass supplies the topic states at inference.
-        let shared = {
-            let _s = wb_obs::span!("brief.encode");
-            self.embedder.forward(&mut g, &ex.tokens, &ex.sentence_of)
+    /// One inference pass over a sub-document: a single graph shares the
+    /// embedder, both Bi-LSTMs and the section predictor between the
+    /// extractor and the generator. The greedy first decode supplies the
+    /// topic states the extractor attends to; the beam search for the
+    /// topic phrase runs only `with_topic` (briefing generates the topic
+    /// from the first sub-document alone).
+    ///
+    /// Each stage runs under a `wb-obs` span: `brief.encode` (holding
+    /// `brief.embed`, `brief.e_bilstm`, `brief.g_bilstm`,
+    /// `brief.sections`), then `brief.greedy`, `brief.extract_head`,
+    /// `brief.beam` and `brief.release` (dropping the tape).
+    pub fn infer(&self, ex: &Example, with_topic: bool) -> Inference {
+        let mut graph = Graph::new(&self.params, false, 0);
+        let g = &mut graph;
+        let (c_e, c_g, c_e_b, c_g_b, z, p_probs) = {
+            let _encode = wb_obs::span!("brief.encode");
+            let (shared, sents) = {
+                let _s = wb_obs::span!("brief.embed");
+                let shared = self.embedder.forward(g, &ex.tokens, &ex.sentence_of);
+                (shared, sentence_reps(g, &self.embedder, shared, ex))
+            };
+            let c_e = {
+                let _s = wb_obs::span!("brief.e_bilstm");
+                self.e_bilstm.forward(g, shared)
+            };
+            let c_g = {
+                let _s = wb_obs::span!("brief.g_bilstm");
+                self.g_bilstm.forward(g, sents)
+            };
+            let _s = wb_obs::span!("brief.sections");
+            let z =
+                self.variant.uses_section_predictor().then(|| self.section_scores(g, sents));
+            let p_probs = z.map(|z| g.sigmoid(z));
+            let (c_e_b, c_g_b) = self.section_dependent(g, ex, c_e, c_g, p_probs);
+            (c_e, c_g, c_e_b, c_g_b, z, p_probs)
         };
-        let sents = sentence_reps(&mut g, &self.embedder, shared, ex);
-        let c_e = self.e_bilstm.forward(&mut g, shared);
-        let c_g = self.g_bilstm.forward(&mut g, sents);
-        let p_probs = self.variant.uses_section_predictor().then(|| {
-            let z = self.section_scores(&mut g, sents);
-            g.sigmoid(z)
+        let (_, q) = {
+            let _s = wb_obs::span!("brief.greedy");
+            self.decoder.greedy_with_states(g, c_g_b, self.cfg.max_topic_len)
+        };
+        let tags = {
+            let _s = wb_obs::span!("brief.extract_head");
+            let e_feats = self.extractor_features(g, ex, c_e, c_e_b, q, p_probs);
+            let logits = self.e_head.forward(g, e_feats);
+            g.value(logits).argmax_rows().iter().map(|&t| t as u8).collect()
+        };
+        let topic = with_topic.then(|| {
+            let _s = wb_obs::span!("brief.beam");
+            let memory = self.generator_memory(g, c_e, c_g, c_g_b, p_probs);
+            self.decoder.beam_search(g, memory, self.cfg.beam, self.cfg.max_topic_len)
         });
-        let c_e_b = match (&self.sec_e, p_probs) {
-            (Some(sec_e), Some(p)) => {
-                let col = self.token_section_column(&mut g, p, ex);
-                let cat = g.concat_cols(&[c_e, col]);
-                sec_e.forward_tanh(&mut g, cat)
-            }
-            _ => c_e,
-        };
-        let c_g_b = match (&self.sec_g, p_probs) {
-            (Some(sec_g), Some(p)) => {
-                let cat = g.concat_cols(&[c_g, p]);
-                sec_g.forward_tanh(&mut g, cat)
-            }
-            _ => c_g,
-        };
-        let (_, q) = self.decoder.greedy_with_states(&mut g, c_g_b, self.cfg.max_topic_len);
-        let e_feats = match self.variant {
-            JointVariant::NaiveJoin => c_e,
-            JointVariant::ConExtractor => {
-                let n = g.value(q).rows();
-                let last = g.slice_rows(q, n - 1, n);
-                let rep = g.gather_rows(last, &vec![0; ex.tokens.len()]);
-                g.concat_cols(&[c_e, rep])
-            }
-            JointVariant::AveExtractor => {
-                let mean = g.mean_rows(q);
-                let rep = g.gather_rows(mean, &vec![0; ex.tokens.len()]);
-                g.concat_cols(&[c_e, rep])
-            }
-            JointVariant::PipBoth => {
-                let q_b = self.topic_integration(&mut g, q);
-                let w_ae = g.param(self.w_ae.expect("gate extractor has w_ae"));
-                let hw = g.matmul(c_e, w_ae);
-                let scores = g.matmul_nt(hw, q_b);
-                let alpha = g.sigmoid(scores);
-                let gated = g.mul_col_broadcast(c_e, alpha);
-                let x1 = g.concat_cols(&[c_e, gated]);
-                let p = p_probs.expect("PipBoth has a section predictor");
-                let p_tok = self.token_section_column(&mut g, p, ex);
-                let sec_scaled = g.mul_col_broadcast(x1, p_tok);
-                g.add(x1, sec_scaled)
-            }
-            _ => {
-                let q_b = self.topic_integration(&mut g, q);
-                let w_ae = g.param(self.w_ae.expect("gate extractor has w_ae"));
-                let hw = g.matmul(c_e_b, w_ae);
-                let scores = g.matmul_nt(hw, q_b);
-                let alpha = g.sigmoid(scores);
-                let gated = g.mul_col_broadcast(c_e_b, alpha);
-                g.concat_cols(&[c_e, gated])
-            }
-        };
-        let logits = self.e_head.forward(&mut g, e_feats);
-        g.value(logits).argmax_rows().iter().map(|&t| t as u8).collect()
+        let sections = z.map(|z| g.value(z).data().iter().map(|&v| v >= 0.0).collect());
+        {
+            // Freeing a tape of thousands of nodes is a stage of its own.
+            let _s = wb_obs::span!("brief.release");
+            drop(graph);
+        }
+        Inference { tags, topic, sections }
     }
 
-    /// Generates the topic phrase with beam search.
+    /// Predicted BIO tags (one [`JointModel::infer`] pass without the beam).
+    pub fn predict_tags(&self, ex: &Example) -> Vec<u8> {
+        self.infer(ex, false).tags
+    }
+
+    /// Generates the topic phrase with beam search (one
+    /// [`JointModel::infer`] pass).
     pub fn generate(&self, ex: &Example) -> Vec<u32> {
-        let mut g = Graph::new(&self.params, false, 0);
-        let memory = self.inference_memory(&mut g, ex);
-        self.decoder.beam_search(&mut g, memory, self.cfg.beam, self.cfg.max_topic_len)
+        self.infer(ex, true).topic.expect("infer with_topic yields a topic")
     }
 
     /// Predicted informative-section flags (only for variants with `P`).
     pub fn predict_sections(&self, ex: &Example) -> Option<Vec<bool>> {
-        self.variant.uses_section_predictor().then(|| {
-            let mut g = Graph::new(&self.params, false, 0);
-            let shared = {
-                let _s = wb_obs::span!("brief.encode");
-                self.embedder.forward(&mut g, &ex.tokens, &ex.sentence_of)
-            };
-            let sents = sentence_reps(&mut g, &self.embedder, shared, ex);
-            let z = self.section_scores(&mut g, sents);
-            g.value(z).data().iter().map(|&v| v >= 0.0).collect()
-        })
+        self.variant.uses_section_predictor().then(|| self.infer(ex, false).sections).flatten()
     }
 }
 

@@ -22,7 +22,9 @@ pub struct Var(usize);
 enum Op {
     /// Constant input; no gradient flows past it.
     Input,
-    /// Leaf referencing a parameter in the external store.
+    /// Leaf referencing a parameter in the external store. Its node holds
+    /// an empty tensor: [`Graph::value`] reads the store's own tensor, so a
+    /// param leaf copies no weights onto the tape.
     Param(ParamId),
     Add(Var, Var),
     /// Adds a rank-1 bias to every row of a rank-2 tensor.
@@ -102,6 +104,7 @@ enum Op {
 }
 
 struct Node {
+    /// The op's output; empty for [`Op::Param`] leaves.
     value: Tensor,
     op: Op,
 }
@@ -194,9 +197,8 @@ impl Drop for Graph<'_> {
     fn drop(&mut self) {
         wb_obs::gauge_max!("tensor.graph.tape_bytes.peak", self.tape_bytes as f64);
         wb_obs::gauge_max!("tensor.graph.nodes.peak", self.nodes.len() as f64);
-        for node in self.nodes.drain(..) {
-            crate::tensor::scratch::put(node.value.into_data());
-        }
+        // Param leaves hold no buffer, and `put_all` skips empty ones.
+        crate::tensor::scratch::put_all(self.nodes.drain(..).map(|n| n.value.into_data()));
     }
 }
 
@@ -218,9 +220,13 @@ impl<'p> Graph<'p> {
         self.train
     }
 
-    /// The value of a node.
+    /// The value of a node. A param leaf's value is the borrowed store's
+    /// tensor itself.
     pub fn value(&self, v: Var) -> &Tensor {
-        &self.nodes[v.0].value
+        match &self.nodes[v.0] {
+            Node { op: Op::Param(id), .. } => self.params.get(*id),
+            node => &node.value,
+        }
     }
 
     /// Number of nodes recorded so far.
@@ -249,9 +255,10 @@ impl<'p> Graph<'p> {
         self.push(t, Op::Input)
     }
 
-    /// Records a parameter leaf.
+    /// Records a parameter leaf. The weights stay in the store: the leaf
+    /// costs no tape bytes, no copy and no scratch buffer.
     pub fn param(&mut self, id: ParamId) -> Var {
-        self.push(self.params.get(id).clone(), Op::Param(id))
+        self.push(Tensor::from_vec(&[0], Vec::new()), Op::Param(id))
     }
 
     /// Element-wise sum.
@@ -856,7 +863,8 @@ impl<'p> Graph<'p> {
 pub struct GraphStats {
     /// Total nodes on the tape.
     pub nodes: usize,
-    /// Total scalar elements stored across node values.
+    /// Total scalar elements stored across node values (param leaves
+    /// borrow the store and count nothing).
     pub elements: usize,
     /// Approximate forward multiply-accumulate count (matmul ops only).
     pub matmul_flops: usize,
@@ -926,5 +934,30 @@ fn accumulate(grads: &mut [Option<Tensor>], v: Var, g: &Tensor) {
     match &mut grads[v.0] {
         Some(acc) => acc.add_assign_scaled(g, 1.0),
         slot @ None => *slot = Some(g.clone()),
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn param_leaf_borrows_the_store_and_adds_no_tape_bytes() {
+        let mut params = Params::new();
+        let w = params.add("w", Tensor::from_vec(&[2, 3], vec![1.0, 2.0, 3.0, 4.0, 5.0, 6.0]));
+        for train in [false, true] {
+            let mut g = Graph::new(&params, train, 0);
+            let v = g.param(w);
+            assert_eq!(g.tape_bytes(), 0);
+            assert_eq!(g.stats().elements, 0);
+            assert!(std::ptr::eq(g.value(v), params.get(w)), "param value must be the store's");
+            // Gradients still reach the leaf through `value()` reads.
+            let x = g.input(Tensor::full(&[1, 2], 1.0));
+            let y = g.matmul(x, v);
+            let loss = g.sum_all(y);
+            assert_eq!(g.value(loss).item(), 21.0);
+            let grads = g.backward(loss);
+            assert_eq!(grads.get(w).unwrap().data(), &[1.0; 6]);
+        }
     }
 }

@@ -71,26 +71,47 @@ pub mod scratch {
         }
     }
 
-    /// Returns a buffer to the pool for reuse. Recycled capacity feeds the
+    /// Returns a buffer to the pool for reuse (see [`put_all`]).
+    pub fn put(buf: Vec<f32>) {
+        put_all(std::iter::once(buf));
+    }
+
+    /// Returns buffers to the pool for reuse under one lock; buffers past
+    /// [`MAX_POOLED`] just deallocate. Recycled capacity feeds the
     /// `tensor.scratch.bytes_recycled` counter, the current pool depth the
     /// `tensor.scratch.pooled` gauge, and resident capacity the
     /// `tensor.scratch.bytes_pooled` gauge plus its `.peak` high-watermark.
-    pub fn put(mut buf: Vec<f32>) {
-        if buf.capacity() == 0 || buf.capacity() > MAX_BUF_CAP {
+    pub fn put_all(bufs: impl IntoIterator<Item = Vec<f32>>) {
+        let mut recycled = 0u64;
+        let mut pooled = 0u64;
+        let mut pool = POOL.lock().unwrap();
+        for mut buf in bufs {
+            if buf.capacity() == 0 || buf.capacity() > MAX_BUF_CAP {
+                continue;
+            }
+            let bytes = (buf.capacity() * std::mem::size_of::<f32>()) as u64;
+            recycled += bytes;
+            if pool.len() < MAX_POOLED {
+                buf.clear();
+                pool.push(buf);
+                pooled += bytes;
+            }
+        }
+        // Account under the lock, or a concurrent `take` could subtract
+        // a buffer's bytes before they were added.
+        let resident = POOL_BYTES.fetch_add(pooled, Ordering::Relaxed) + pooled;
+        let depth = pool.len();
+        drop(pool);
+        if recycled == 0 {
             return;
         }
-        let bytes = (buf.capacity() * std::mem::size_of::<f32>()) as u64;
-        wb_obs::counter!("tensor.scratch.bytes_recycled", bytes);
-        buf.clear();
-        let mut pool = POOL.lock().unwrap();
-        if pool.len() < MAX_POOLED {
-            pool.push(buf);
-            let resident = POOL_BYTES.fetch_add(bytes, Ordering::Relaxed) + bytes;
+        wb_obs::counter!("tensor.scratch.bytes_recycled", recycled);
+        if pooled > 0 {
             wb_obs::gauge!("tensor.scratch.bytes_pooled", resident as f64);
             wb_obs::gauge_max!("tensor.scratch.bytes_pooled.peak", resident as f64);
             wb_obs::trace::sample("tensor.scratch.bytes_pooled", resident as f64);
         }
-        wb_obs::gauge!("tensor.scratch.pooled", pool.len() as f64);
+        wb_obs::gauge!("tensor.scratch.pooled", depth as f64);
     }
 
     /// Number of buffers currently pooled (diagnostics/tests).
